@@ -1,0 +1,5 @@
+"""HAQJSK benchmark: three workloads, end-to-end metrics and a traced run.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
