@@ -130,9 +130,9 @@ def job_spec_for(
     ``ctx`` (engine / tile size / compute policy resolved *now*, so every
     worker reproduces this exact schedule).
     """
-    from repro.api.context import ExecutionContext
+    from repro.api.context import resolve_context
 
-    ctx = ExecutionContext() if ctx is None else ctx
+    ctx = resolve_context(ctx, owner="job_spec_for")
     graphs = list(graphs)
     spec = as_spec(spec_or_name).resolved()
     kernel = spec.make()
@@ -142,7 +142,7 @@ def job_spec_for(
             "genuine tile stream) — tiles cannot be distributed; use a "
             "streaming kernel (pairwise or feature-map families)"
         )
-    engine = kernel._resolve_engine(ctx.engine_argument(kernel))
+    engine = resolve_engine(ctx.engine_argument())
     policy = ctx.compute_policy()
     return JobSpec(
         kernel_spec=spec.to_dict(),

@@ -16,7 +16,7 @@ from repro.experiments.config import (
     dataset_scale,
     full_scale,
 )
-from repro.experiments.kernel_zoo import INDEFINITE_KERNELS, make_kernel
+from repro.experiments.table4 import INDEFINITE_KERNELS
 
 __all__ = [
     "INDEFINITE_KERNELS",
@@ -26,5 +26,4 @@ __all__ = [
     "TABLE5_MODELS",
     "dataset_scale",
     "full_scale",
-    "make_kernel",
 ]

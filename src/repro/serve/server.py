@@ -444,6 +444,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` with a listen backlog sized for bursts.
+
+    The stdlib default backlog of 5 overflows when a few clients connect
+    at once: the kernel drops the extra SYNs, and each dropped client
+    retries only after Linux's 1 s initial retransmission timeout.
+    """
+
+    request_queue_size = 128
+
+
 class ServeServer:
     """The running server: a ThreadingHTTPServer bound to a ServeApp.
 
@@ -454,7 +465,7 @@ class ServeServer:
 
     def __init__(self, app: ServeApp, *, host: str = "127.0.0.1", port: int = 0):
         self.app = app
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.app = app  # type: ignore[attr-defined]
         self._thread: "threading.Thread | None" = None

@@ -364,7 +364,6 @@ def store_backed_gram(
     *,
     normalize: bool = False,
     ensure_psd: bool = False,
-    engine=None,
     extra: "dict | None" = None,
     tile_checkpoint: bool = False,
     stats: "dict | None" = None,
@@ -402,19 +401,17 @@ def store_backed_gram(
     ``cached`` (whole-Gram hit), ``tiles_restored``, ``tiles_computed``.
     This is *the* tile-checkpoint protocol — the experiment harness and
     other callers consume it rather than re-implementing the sequence.
+
+    ``ctx`` (``None`` means ``ExecutionContext()``) carries the
+    engine/tile selection and, for the ``store=None`` fallthrough, any
+    sink factory; the store and checkpoint decisions stay with the
+    explicit arguments so this function keeps exactly one persistence
+    protocol.
     """
-    from repro.api.context import context_for
+    from repro.api.context import resolve_context
 
     graphs = list(graphs)
-    if ctx is not None:
-        # A caller-supplied context carries the engine/tile selection and
-        # (for the store=None fallthrough) any sink factory; the store
-        # and checkpoint decisions stay with the explicit arguments so
-        # this function keeps exactly one persistence protocol.
-        engine = ctx.engine_argument(kernel)
-        gram_ctx = ctx.replace(store=None)
-    else:
-        gram_ctx = context_for(engine=engine)
+    gram_ctx = resolve_context(ctx, owner="store_backed_gram").replace(store=None)
     if stats is not None:
         stats.update(cached=False, tiles_restored=0, tiles_computed=0)
     if store is None:
@@ -432,7 +429,7 @@ def store_backed_gram(
         if stats is not None:
             stats["cached"] = True
         if streams and dependent:
-            _sweep_orphaned_tiles(store, kernel, graphs, engine)
+            _sweep_orphaned_tiles(store, kernel, graphs, gram_ctx.engine_argument())
         return cached
     sink = None
     if streams:
@@ -443,11 +440,7 @@ def store_backed_gram(
     if sink is not None:
         checkpoint_sink = sink
         factory = lambda: checkpoint_sink  # noqa: E731 - one-shot wrapper
-        miss_ctx = (
-            gram_ctx.replace(sink_factory=factory)
-            if gram_ctx is not None
-            else context_for(sink_factory=factory)
-        )
+        miss_ctx = gram_ctx.replace(sink_factory=factory)
     gram = kernel.gram(
         graphs,
         normalize=normalize,
@@ -474,12 +467,13 @@ def _sweep_orphaned_tiles(store, kernel, graphs, engine) -> None:
     Best-effort on purpose — a rerun under a different tile size derives
     different keys and leaves the orphans alone.
     """
+    from repro.engine.base import resolve_engine
     from repro.engine.tiles import TilePlan
     from repro.store.tiles import discard_plan_tiles, tile_keyer_for
 
     if not graphs:
         return
-    tile = kernel._resolve_engine(engine).resolved_tile_size()
+    tile = resolve_engine(engine).resolved_tile_size()
     plan = TilePlan.gram(len(graphs), tile)
     keyer = tile_keyer_for(kernel, graphs)
     first = next(iter(plan.tiles()))
@@ -495,10 +489,11 @@ class IncrementalGram:
     Holds a collection and its *raw* (unnormalised, unprojected) Gram
     matrix; :meth:`extend` folds newly arrived graphs in through
     :meth:`~repro.kernels.base.GraphKernel.gram_extend`, paying
-    ``O(N·ΔN)`` per arrival instead of the full ``O((N+ΔN)²)``. With a
-    ``store``, every grown Gram is persisted under its collection's
+    ``O(N·ΔN)`` per arrival instead of the full ``O((N+ΔN)²)``. With
+    ``ctx.store``, every grown Gram is persisted under its collection's
     content key, so a restarted process constructed over the same graphs
-    resumes from disk instead of recomputing.
+    resumes from disk instead of recomputing (``ctx=None`` means
+    ``ExecutionContext()``).
 
     For collection-level kernels (the HAQJSK family) the kernel must be
     in frozen-prototype mode first (``kernel.freeze(reference_graphs)``);
@@ -519,33 +514,18 @@ class IncrementalGram:
         kernel,
         graphs=(),
         *,
-        engine=None,
-        store: "ArtifactStore | None" = None,
         ctx=None,
     ) -> None:
-        from repro.api.context import context_for, resolve_context
+        from repro.api.context import resolve_context
 
-        ctx = resolve_context(
-            ctx, owner="IncrementalGram", engine=engine, store=store
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(kernel)
-            store = ctx.store
+        self.ctx = resolve_context(ctx, owner="IncrementalGram")
         self.kernel = kernel
-        self.engine = engine
-        self.store = store
         self.graphs: list = list(graphs)
         self._initial_key: "str | None" = None
         self._latest_key: "str | None" = None
-        if not self.graphs:
-            self.gram = np.zeros((0, 0))
-        else:
-            self.gram = store_backed_gram(
-                kernel, self.graphs, store, ctx=context_for(engine=engine)
-            )
-            if store is not None:
-                self._initial_key = gram_key(kernel, self.graphs)
-                self._latest_key = self._initial_key
+        self.gram = np.zeros((0, 0))
+        if self.graphs:
+            self._load_initial()
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -557,21 +537,10 @@ class IncrementalGram:
             return self.gram
         if not self.graphs:
             self.graphs = new_graphs
-            from repro.api.context import context_for
-
-            self.gram = store_backed_gram(
-                self.kernel, self.graphs, self.store,
-                ctx=context_for(engine=self.engine),
-            )
-            if self.store is not None:
-                self._initial_key = gram_key(self.kernel, self.graphs)
-                self._latest_key = self._initial_key
+            self._load_initial()
             return self.gram
-        from repro.api.context import context_for
-
         grown = self.kernel.gram_extend(
-            self.gram, self.graphs, new_graphs,
-            ctx=context_for(engine=self.engine),
+            self.gram, self.graphs, new_graphs, ctx=self.ctx.replace(store=None)
         )
         # Freshly assembled and owned by this object: freeze it so the
         # serving Gram is uniformly immutable whether it was computed,
@@ -579,14 +548,25 @@ class IncrementalGram:
         grown.setflags(write=False)
         self.graphs = self.graphs + new_graphs
         self.gram = grown
-        if self.store is not None:
+        store = self.ctx.store
+        if store is not None:
             new_key = gram_key(self.kernel, self.graphs)
             # copy=False: `grown` is frozen and owned by this object.
-            self.store.put_array("gram", new_key, grown, copy=False)
+            store.put_array("gram", new_key, grown, copy=False)
             # Prune the superseded intermediate, but never the Gram this
             # object started from — a restarted process reconstructs over
             # the initial collection and must still find it.
             if self._latest_key not in (None, self._initial_key, new_key):
-                self.store.discard("gram", self._latest_key)
+                store.discard("gram", self._latest_key)
             self._latest_key = new_key
         return self.gram
+
+    def _load_initial(self) -> None:
+        """The first Gram over ``self.graphs``: a store read when one
+        is configured and holds it, else computed (and persisted)."""
+        self.gram = store_backed_gram(
+            self.kernel, self.graphs, self.ctx.store, ctx=self.ctx
+        )
+        if self.ctx.store is not None:
+            self._initial_key = gram_key(self.kernel, self.graphs)
+            self._latest_key = self._initial_key

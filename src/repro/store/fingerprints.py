@@ -14,9 +14,11 @@ aligner's extractor, ...). Excluded by convention:
   *product* of configuration plus data, not configuration itself. Objects
   whose fitted state changes their output (the frozen HAQJSK prototype
   system) must surface it explicitly — see
-  :meth:`repro.kernels.base.GraphKernel._fingerprint_extra`;
-* ``engine`` — Gram *scheduling* never changes Gram *values* (the backend
-  equivalence the engine tests pin to 1e-10).
+  :meth:`repro.kernels.base.GraphKernel._fingerprint_extra`.
+
+Execution policy (the Gram backend, tile size, sinks, stores) never
+reaches a fingerprint: it travels in an
+:class:`~repro.api.context.ExecutionContext`, not on the kernel.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ import json
 
 import numpy as np
 
-#: Attribute names never included in a configuration fingerprint.
-_EXCLUDED_ATTRS = frozenset({"engine"})
-
 #: Bump to invalidate every previously stored fingerprint.
 _FINGERPRINT_VERSION = "config-fingerprint-v1"
 
@@ -37,7 +36,7 @@ def stable_config(obj) -> dict:
     """A JSON-able dict of ``obj``'s public configuration (recursive)."""
     config = {}
     for key, value in sorted(vars(obj).items()):
-        if key.startswith("_") or key.endswith("_") or key in _EXCLUDED_ATTRS:
+        if key.startswith("_") or key.endswith("_"):
             continue
         config[key] = _stable_value(value)
     return config

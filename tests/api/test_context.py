@@ -1,18 +1,16 @@
-"""ExecutionContext: env resolution, validation, records, the shim."""
+"""ExecutionContext: env resolution, validation, records, resolution."""
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
-from repro.api.context import context_for, resolve_context
+from repro.api.context import resolve_context
 from repro.engine import BatchedEngine, MemmapSink, TILE_ENV_VAR
 from repro.engine.base import ENGINE_ENV_VAR
 from repro.errors import ValidationError
-from repro.kernels import QJSKUnaligned
+from repro.kernels import QJSKUnaligned, make
+from repro.ml.cross_validation import cross_validate_graph_kernel
 from repro.store import ArtifactStore
 
 
@@ -128,13 +126,6 @@ class TestEngineArgument:
         assert resolved.resolved_tile_size() == 5
         assert base.resolved_tile_size() == 64  # the original is untouched
 
-    def test_tile_override_respects_kernel_sticky_engine(self):
-        kernel = QJSKUnaligned()
-        kernel.engine = "serial"
-        resolved = ExecutionContext(tile_size=3).engine_argument(kernel)
-        assert resolved.name == "serial"
-        assert resolved.resolved_tile_size() == 3
-
 
 class TestRecord:
     def test_round_trip(self, tmp_path):
@@ -175,27 +166,45 @@ class TestRecord:
 
 class TestResolveContext:
     def test_nothing_supplied(self):
-        assert resolve_context(None, owner="x") is None
+        assert resolve_context(None, owner="x") == ExecutionContext()
 
     def test_ctx_passthrough(self):
         ctx = ExecutionContext(engine="serial")
         assert resolve_context(ctx, owner="x") is ctx
 
-    def test_mixing_refused(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_context(ExecutionContext(), owner="x", engine="serial")
+    def test_non_context_refused(self):
+        with pytest.raises(ValidationError, match="x: ctx must be"):
+            resolve_context("serial", owner="x")
 
-    def test_legacy_builds_context_with_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ctx = resolve_context(None, owner="x", engine="serial")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "engine" in str(deprecations[0].message)
-        assert ctx.engine == "serial"
 
-    def test_context_for(self):
-        assert context_for(engine=None, store=None) is None
-        assert context_for(engine="serial").engine == "serial"
+class TestEntryPointRefusals:
+    """The CV wrapper and ``gram`` refuse inconsistent contexts through
+    the same :meth:`ExecutionContext.validate` error."""
+
+    CV = dict(n_folds=4, n_repeats=1, seed=5)
+
+    def test_ensure_psd_out_of_core_refused_by_cv_and_gram(
+        self, api_collection, tmp_path
+    ):
+        graphs, labels = api_collection
+        kernel = QJSKUnaligned()
+        ctx = ExecutionContext(
+            sink_factory=lambda: MemmapSink(str(tmp_path / "psd.npy"))
+        )
+        with pytest.raises(ValidationError, match="offending fields"):
+            cross_validate_graph_kernel(
+                kernel, graphs, labels, ctx=ctx, ensure_psd=True, **self.CV
+            )
+        with pytest.raises(ValidationError, match="offending fields"):
+            kernel.gram(graphs, ensure_psd=True, ctx=ctx)
+
+    def test_store_plus_sink_refused_by_cv(self, api_collection, tmp_path):
+        graphs, labels = api_collection
+        ctx = ExecutionContext(
+            store=ArtifactStore(str(tmp_path / "s")),
+            sink_factory=lambda: MemmapSink(str(tmp_path / "g.npy")),
+        )
+        with pytest.raises(ValidationError, match="not.*both"):
+            cross_validate_graph_kernel(
+                make("WLSK"), graphs, labels, ctx=ctx, **self.CV
+            )

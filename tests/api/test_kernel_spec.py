@@ -16,7 +16,7 @@ from repro.kernels import (
     registered_kernels,
     supported_params,
 )
-from repro.kernels.registry import as_spec, full_scale, kernel_entry
+from repro.kernels.registry import as_spec, full_scale, kernel_entry, lenient_spec
 
 
 class TestRegistry:
@@ -154,16 +154,15 @@ class TestMake:
             make("NOT_A_KERNEL")
 
 
-class TestZooParity:
-    """The legacy experiments-layer factory is a pure delegate now."""
+class TestLenientSpec:
+    """``lenient_spec`` (the experiments' construction path) drops only
+    the parameters a kernel does not take."""
 
     @pytest.mark.parametrize(
         "name", ["HAQJSK(D)", "QJSK", "JTQK", "WLSK", "GCGK", "CORE WL", "SPEGK"]
     )
-    def test_make_kernel_matches_registry(self, name):
-        from repro.experiments.kernel_zoo import make_kernel
-
-        legacy = make_kernel(name, n_prototypes=16, seed=2)
+    def test_matches_registry(self, name):
+        lenient = lenient_spec(name, n_prototypes=16, seed=2).make()
         entry = kernel_entry(name)
         params = {
             key: value
@@ -171,11 +170,6 @@ class TestZooParity:
             if key in entry.parameters
         }
         fresh = make(name, **params)
-        assert isinstance(legacy, GraphKernel)
-        assert type(legacy) is type(fresh)
-        assert legacy.fingerprint() == fresh.fingerprint()
-
-    def test_make_kernel_still_stamps_engine(self):
-        from repro.experiments.kernel_zoo import make_kernel
-
-        assert make_kernel("QJSK", engine="serial").engine == "serial"
+        assert isinstance(lenient, GraphKernel)
+        assert type(lenient) is type(fresh)
+        assert lenient.fingerprint() == fresh.fingerprint()

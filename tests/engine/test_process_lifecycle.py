@@ -12,6 +12,7 @@ in-process degradation announces itself with a RuntimeWarning.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 import repro.engine.process as process_module
 from repro.engine.process import ProcessEngine
 
@@ -152,12 +153,14 @@ class TestDegradation:
 
         kernel = QJSKUnaligned()
         graphs = [gen.cycle_graph(5), gen.path_graph(6), gen.star_graph(6)]
-        expected = kernel.gram(graphs, engine="serial")
+        expected = kernel.gram(graphs, ctx=ExecutionContext(engine="serial"))
         monkeypatch.setattr(
             process_module, "ProcessPoolExecutor", _UnavailableExecutor
         )
         with pytest.warns(RuntimeWarning):
-            degraded = kernel.gram(graphs, engine=ProcessEngine(tile_size=2))
+            degraded = kernel.gram(
+                graphs, ctx=ExecutionContext(engine=ProcessEngine(tile_size=2))
+            )
         assert np.allclose(degraded, expected, atol=1e-10, rtol=0.0)
 
     def test_submission_failure_degrades_and_reaps(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for experiment configuration and the kernel factory."""
+"""Tests for experiment configuration and the kernel roster."""
 
 import pytest
 
@@ -14,8 +14,15 @@ from repro.experiments.config import (
     full_scale,
     haqjsk_levels,
 )
-from repro.experiments.kernel_zoo import INDEFINITE_KERNELS, make_kernel
+from repro.experiments.table4 import INDEFINITE_KERNELS
 from repro.kernels.base import GraphKernel
+from repro.kernels.registry import lenient_spec
+
+
+def make_kernel(name: str, **params) -> GraphKernel:
+    """The experiments' construction path: the registry, with parameters
+    the named kernel does not take dropped."""
+    return lenient_spec(name, **params).make()
 
 
 class TestConfig:

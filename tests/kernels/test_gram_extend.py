@@ -10,6 +10,7 @@ collection semantics would silently change the cached entries.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import KernelError
 from repro.graphs import generators as gen
 from repro.kernels import (
@@ -74,19 +75,23 @@ def new_graphs():
 @pytest.mark.parametrize("kernel", ZOO, ids=ZOO_IDS)
 class TestExtensionMatchesFullGram:
     def test_extend_matches_scratch(self, kernel, engine, old_graphs, new_graphs):
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        cached = kernel.gram(old_graphs, engine=engine)
-        extended = kernel.gram_extend(cached, old_graphs, new_graphs, engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ExecutionContext(engine=engine))
+        cached = kernel.gram(old_graphs, ctx=ExecutionContext(engine=engine))
+        extended = kernel.gram_extend(
+            cached, old_graphs, new_graphs, ctx=ExecutionContext(engine=engine)
+        )
         assert extended.shape == full.shape
         assert np.allclose(extended, full, atol=ATOL, rtol=0.0), kernel.name
 
     def test_repeated_extension(self, kernel, engine, old_graphs, new_graphs):
         """Extending twice (one newcomer at a time) still matches scratch."""
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        gram = kernel.gram(old_graphs, engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ExecutionContext(engine=engine))
+        gram = kernel.gram(old_graphs, ctx=ExecutionContext(engine=engine))
         graphs = list(old_graphs)
         for newcomer in new_graphs:
-            gram = kernel.gram_extend(gram, graphs, [newcomer], engine=engine)
+            gram = kernel.gram_extend(
+                gram, graphs, [newcomer], ctx=ExecutionContext(engine=engine)
+            )
             graphs.append(newcomer)
         assert np.allclose(gram, full, atol=ATOL, rtol=0.0), kernel.name
 
@@ -106,9 +111,11 @@ class TestFrozenPrototypeExtension:
         self, make, engine, old_graphs, new_graphs
     ):
         kernel = make().freeze(old_graphs)
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        cached = kernel.gram(old_graphs, engine=engine)
-        extended = kernel.gram_extend(cached, old_graphs, new_graphs, engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ExecutionContext(engine=engine))
+        cached = kernel.gram(old_graphs, ctx=ExecutionContext(engine=engine))
+        extended = kernel.gram_extend(
+            cached, old_graphs, new_graphs, ctx=ExecutionContext(engine=engine)
+        )
         assert np.allclose(extended, full, atol=ATOL, rtol=0.0), kernel.name
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import ValidationError
 from repro.ml.cross_validation import (
     cross_validate_graph_kernel,
@@ -137,9 +138,17 @@ class TestGraphKernelEntryPoint:
             ensure_psd=True, n_folds=3, n_repeats=2, seed=0
         )
         serial = cross_validate_graph_kernel(
-            QJSKUnaligned(), graphs, labels, engine="serial", **kwargs
+            QJSKUnaligned(),
+            graphs,
+            labels,
+            ctx=ExecutionContext(engine="serial"),
+            **kwargs,
         )
         batched = cross_validate_graph_kernel(
-            QJSKUnaligned(), graphs, labels, engine="batched", **kwargs
+            QJSKUnaligned(),
+            graphs,
+            labels,
+            ctx=ExecutionContext(engine="batched"),
+            **kwargs,
         )
         assert serial.mean_accuracy == pytest.approx(batched.mean_accuracy)

@@ -4,6 +4,7 @@ out-of-core cross-validation, and tile-resumable Nyström fits."""
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.engine import BatchedEngine, MemmapSink
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
@@ -36,7 +37,11 @@ def collection():
 def _memmap_gram(kernel, graphs, tmp_path, **gram_kwargs):
     sink = MemmapSink(str(tmp_path / "gram.npy"))
     return kernel.gram(
-        graphs, engine=BatchedEngine(tile_size=3), sink=sink, **gram_kwargs
+        graphs,
+        ctx=ExecutionContext(
+            engine=BatchedEngine(tile_size=3), sink_factory=lambda: sink
+        ),
+        **gram_kwargs,
     )
 
 
@@ -95,7 +100,8 @@ class TestOutOfCoreCV:
         )
         sink = MemmapSink(str(tmp_path / "cv.npy"))
         out_of_core = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=2, seed=3, sink=sink
+            kernel, graphs, labels, n_folds=4, n_repeats=2, seed=3,
+            ctx=ExecutionContext(sink_factory=lambda: sink),
         )
         assert out_of_core.mean_accuracy == reference.mean_accuracy
         assert out_of_core.best_c == reference.best_c
@@ -107,8 +113,10 @@ class TestOutOfCoreCV:
                 QJSKUnaligned(),
                 graphs,
                 labels,
-                sink=MemmapSink(str(tmp_path / "x.npy")),
-                store=ArtifactStore(str(tmp_path / "store")),
+                ctx=ExecutionContext(
+                    sink_factory=lambda: MemmapSink(str(tmp_path / "x.npy")),
+                    store=ArtifactStore(str(tmp_path / "store")),
+                ),
             )
 
     def test_store_miss_is_tile_checkpointed(self, collection, tmp_path):
@@ -118,7 +126,8 @@ class TestOutOfCoreCV:
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
         first = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, store=store
+            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3,
+            ctx=ExecutionContext(store=store),
         )
         from repro.store import tile_keyer_for
 
@@ -129,7 +138,8 @@ class TestOutOfCoreCV:
             "gram-tile", keyer.key(first_tile, first_tile, diagonal=True)
         )
         again = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, store=store
+            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3,
+            ctx=ExecutionContext(store=store),
         )
         assert again.mean_accuracy == first.mean_accuracy
 
@@ -156,7 +166,9 @@ class TestNystromTileCheckpoint:
 
         kernel = _Counting()
         fitted = NystromApproximation(
-            kernel, n_landmarks=5, seed=0, engine=engine, store=store
+            kernel, n_landmarks=5, seed=0, ctx=ExecutionContext(
+                engine=engine, store=store
+            )
         ).fit(graphs)
         assert calls["n"] > 0
 
@@ -175,7 +187,10 @@ class TestNystromTileCheckpoint:
 
         calls["n"] = 0
         refit = NystromApproximation(
-            _Counting(), n_landmarks=5, seed=0, engine=engine, store=store
+            _Counting(),
+            n_landmarks=5,
+            seed=0,
+            ctx=ExecutionContext(engine=engine, store=store),
         ).fit(graphs)
         assert calls["n"] == 0  # every tile restored, nothing recomputed
         assert np.allclose(

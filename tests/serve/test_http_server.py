@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -138,6 +139,31 @@ class TestRoutes:
         assert payload["status"] == "ok"
         assert payload["default_bundle"] == "wl"
         assert "jobs" in payload
+
+    def test_connect_storm_is_not_dropped(self, server):
+        # 32 clients open fresh connections at the same instant. A listen
+        # backlog shorter than the burst drops SYNs, and a dropped client
+        # waits out Linux's 1 s initial retransmission timeout.
+        clients = 32
+        barrier = threading.Barrier(clients)
+        elapsed = [None] * clients
+
+        def connect(i):
+            barrier.wait()
+            started = time.perf_counter()
+            status, _ = _get(server.url + "/healthz")
+            if status == 200:
+                elapsed[i] = time.perf_counter() - started
+
+        threads = [
+            threading.Thread(target=connect, args=(i,)) for i in range(clients)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert None not in elapsed
+        assert max(elapsed) < 0.9, sorted(elapsed)[-3:]
 
     def test_info_carries_identities_and_batcher_stats(self, server, store):
         from repro.serve.bundle import ModelBundle

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import KernelError, ServingError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
@@ -123,8 +124,12 @@ class TestServingEquivalence:
         train_graphs, train_y, new_graphs, _ = split
         kernel = _serving_kernels(train_graphs)["HAQJSK(D)-frozen"]
         bundle = train_bundle(kernel, train_graphs, train_y, c=C)
-        serial = PredictionService(bundle, engine="serial").predict(new_graphs)
-        batched = PredictionService(bundle, engine="batched").predict(new_graphs)
+        serial = PredictionService(
+            bundle, ctx=ExecutionContext(engine="serial")
+        ).predict(new_graphs)
+        batched = PredictionService(
+            bundle, ctx=ExecutionContext(engine="batched")
+        ).predict(new_graphs)
         assert np.array_equal(serial.labels, batched.labels)
         assert np.allclose(serial.margins, batched.margins, atol=1e-9)
 
@@ -165,7 +170,8 @@ class TestServingEquivalence:
         train_graphs, train_y, _, _ = split
         kernel = _CountingQJSK()
         service = PredictionService(
-            train_bundle(kernel, train_graphs, train_y, c=C), engine="serial"
+            train_bundle(kernel, train_graphs, train_y, c=C),
+            ctx=ExecutionContext(engine="serial"),
         )
         before = kernel.pair_calls
         service.predict([])
@@ -193,10 +199,10 @@ class TestPairBudget:
         train_graphs, train_y, new_graphs, _ = split
         kernel = _CountingQJSK()
         bundle = train_bundle(
-            kernel, train_graphs, train_y, c=C, engine="serial"
+            kernel, train_graphs, train_y, c=C, ctx=ExecutionContext(engine="serial")
         )
         n, delta = len(train_graphs), len(new_graphs)
-        service = PredictionService(bundle, engine="serial")
+        service = PredictionService(bundle, ctx=ExecutionContext(engine="serial"))
 
         kernel.pair_calls = 0
         service.predict(new_graphs)
@@ -212,10 +218,11 @@ class TestPairBudget:
         train_graphs, train_y, new_graphs, _ = split
         kernel = _CountingQJSK()
         bundle = train_bundle(
-            kernel, train_graphs, train_y, c=C, engine="serial", normalize=True
+            kernel, train_graphs, train_y, c=C,
+            ctx=ExecutionContext(engine="serial"), normalize=True,
         )
         n, delta = len(train_graphs), len(new_graphs)
-        service = PredictionService(bundle, engine="serial")
+        service = PredictionService(bundle, ctx=ExecutionContext(engine="serial"))
         kernel.pair_calls = 0
         service.predict(new_graphs)
         assert kernel.pair_calls == n * delta + delta
@@ -330,11 +337,23 @@ class TestTrainValidation:
         train_graphs, train_y, _, _ = split
         store = ArtifactStore(str(tmp_path / "store"))
         first = _CountingQJSK()
-        train_bundle(first, train_graphs, train_y, c=C, store=store, engine="serial")
+        train_bundle(
+            first,
+            train_graphs,
+            train_y,
+            c=C,
+            ctx=ExecutionContext(store=store, engine="serial"),
+        )
         assert first.pair_calls > 0
 
         second = _CountingQJSK()
-        train_bundle(second, train_graphs, train_y, c=C, store=store, engine="serial")
+        train_bundle(
+            second,
+            train_graphs,
+            train_y,
+            c=C,
+            ctx=ExecutionContext(store=store, engine="serial"),
+        )
         assert second.pair_calls == 0  # same content key: Gram from store
 
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.graphs.hashing import collection_digest, graph_digest
@@ -84,12 +85,6 @@ class TestKernelFingerprint:
 
     def test_class_disambiguates(self):
         assert QJSKUnaligned().fingerprint() != WeisfeilerLehmanKernel(3).fingerprint()
-
-    def test_engine_is_excluded(self):
-        a = QJSKUnaligned()
-        b = QJSKUnaligned()
-        b.engine = "process"
-        assert a.fingerprint() == b.fingerprint()
 
     def test_nested_config_is_covered(self):
         a = HAQJSKKernelD(n_prototypes=8, n_levels=2, seed=0)
@@ -187,7 +182,8 @@ class TestArtifactStore:
 
 
 class _CountingKernel(QJSKUnaligned):
-    """QJSK counting its gram() calls.
+    """QJSK counting its gram() calls and its collection preparations
+    (one per Gram actually computed).
 
     The counter lives in an underscore attribute on purpose: public
     instance attributes are configuration and enter the fingerprint, so a
@@ -196,15 +192,23 @@ class _CountingKernel(QJSKUnaligned):
 
     def __init__(self):
         super().__init__()
-        self._counter = [0]
+        self._counter = [0, 0]
 
     @property
     def gram_calls(self) -> int:
         return self._counter[0]
 
+    @property
+    def computations(self) -> int:
+        return self._counter[1]
+
     def gram(self, *args, **kwargs):
         self._counter[0] += 1
         return super().gram(*args, **kwargs)
+
+    def prepare(self, graphs):
+        self._counter[1] += 1
+        return super().prepare(graphs)
 
 
 class TestStoreBackedGram:
@@ -252,16 +256,18 @@ class TestIncrementalGram:
         root = str(tmp_path / "store")
         store = ArtifactStore(root)
         kernel = _CountingKernel()
-        IncrementalGram(kernel, graphs, store=store)
+        IncrementalGram(kernel, graphs, ctx=ExecutionContext(store=store))
         assert kernel.gram_calls == 1
-        restarted = IncrementalGram(kernel, graphs, store=ArtifactStore(root))
+        restarted = IncrementalGram(
+            kernel, graphs, ctx=ExecutionContext(store=ArtifactStore(root))
+        )
         assert kernel.gram_calls == 1  # loaded, not recomputed
         assert np.allclose(restarted.gram, QJSKUnaligned().gram(graphs))
 
     def test_extended_gram_is_persisted(self, tmp_path, graphs):
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:2], store=store)
+        inc = IncrementalGram(kernel, graphs[:2], ctx=ExecutionContext(store=store))
         inc.extend(graphs[2:])
         key = gram_key(kernel, graphs)
         assert np.allclose(store.get_array("gram", key), inc.gram)
@@ -270,7 +276,7 @@ class TestIncrementalGram:
         """Disk growth stays bounded: initial + latest Gram only."""
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:1], store=store)
+        inc = IncrementalGram(kernel, graphs[:1], ctx=ExecutionContext(store=store))
         inc.extend(graphs[1:2])
         inc.extend(graphs[2:3])
         inc.extend(graphs[3:])
@@ -296,12 +302,16 @@ class TestMLRouting:
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = _CountingKernel()
         first = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, store=store
+            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0,
+            ctx=ExecutionContext(store=store),
         )
         second = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, store=store
+            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0,
+            ctx=ExecutionContext(store=store),
         )
-        assert kernel.gram_calls == 1
+        # gram() dispatches the store itself (a hit is one gram() call,
+        # a miss re-enters gram() to compute), so count computations.
+        assert kernel.computations == 1
         assert first.mean_accuracy == second.mean_accuracy
 
     def test_nystrom_reuses_store(self, tmp_path, graphs):
@@ -310,10 +320,10 @@ class TestMLRouting:
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
         first = NystromApproximation(
-            kernel, n_landmarks=2, seed=0, store=store
+            kernel, n_landmarks=2, seed=0, ctx=ExecutionContext(store=store)
         ).fit(graphs)
         second = NystromApproximation(
-            kernel, n_landmarks=2, seed=0, store=store
+            kernel, n_landmarks=2, seed=0, ctx=ExecutionContext(store=store)
         ).fit(graphs)
         assert np.allclose(first.approximate_gram(), second.approximate_gram())
         assert store.has(
@@ -326,10 +336,10 @@ class TestMLRouting:
 
         store = ArtifactStore(str(tmp_path / "store"))
         first = evaluate_cell(
-            "QJSK", "MUTAG", seed=0, n_repeats=1, store=store
+            "QJSK", "MUTAG", seed=0, n_repeats=1, ctx=ExecutionContext(store=store)
         )
         second = evaluate_cell(
-            "QJSK", "MUTAG", seed=0, n_repeats=1, store=store
+            "QJSK", "MUTAG", seed=0, n_repeats=1, ctx=ExecutionContext(store=store)
         )
         assert first["gram_cached"] is False
         assert second["gram_cached"] is True
