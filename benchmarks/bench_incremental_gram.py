@@ -160,26 +160,22 @@ def test_bench_full_recompute(name, reference_graphs, newcomer_graphs, benchmark
 def test_bench_warm_restart_from_store(
     reference_graphs, newcomer_graphs, tmp_path, benchmark
 ):
-    """Serving restart: the reference Gram reloads from disk, not recomputed."""
-    from repro.store import ArtifactStore, IncrementalGram
+    """Serving restart: the reference Gram reloads from disk (a whole-Gram
+    hit), not recomputed; newcomers then grow it in memory."""
+    from repro.store import ArtifactStore
 
-    store = ArtifactStore(str(tmp_path / "store"))
-    kernel = QJSKUnaligned()
-    first = IncrementalGram(kernel, reference_graphs, ctx=ExecutionContext(store=store))
-    first.extend(newcomer_graphs)
+    root = str(tmp_path / "store")
+    ctx = ExecutionContext(store=ArtifactStore(root))
+    first = QJSKUnaligned().gram(reference_graphs, ctx=ctx)
+    full = QJSKUnaligned().gram(list(reference_graphs) + list(newcomer_graphs))
 
     def restart():
         # A fresh process over the same reference set: Gram comes from disk.
-        return IncrementalGram(
-            QJSKUnaligned(), reference_graphs, ctx=ExecutionContext(store=store)
+        return QJSKUnaligned().gram(
+            reference_graphs, ctx=ExecutionContext(store=ArtifactStore(root))
         )
 
     restarted = benchmark.pedantic(restart, rounds=3, iterations=1)
-    assert np.allclose(
-        restarted.gram,
-        first.gram[: len(reference_graphs), : len(reference_graphs)],
-        atol=ATOL,
-        rtol=0.0,
-    )
-    grown = restarted.extend(newcomer_graphs)
-    assert np.allclose(grown, first.gram, atol=ATOL, rtol=0.0)
+    assert np.allclose(restarted, first, atol=ATOL, rtol=0.0)
+    grown = QJSKUnaligned().gram_extend(restarted, reference_graphs, newcomer_graphs)
+    assert np.allclose(grown, full, atol=ATOL, rtol=0.0)

@@ -29,7 +29,7 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default="numpy",
-        help="array backend to benchmark (numpy/torch/cupy)",
+        help="array backend to benchmark (a registered name; numpy is the reference)",
     )
     group.addoption(
         "--precision",

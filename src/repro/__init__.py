@@ -27,7 +27,7 @@ The subpackages hold the full layer APIs:
 * :mod:`repro.alignment` — DB representations, prototypes, correspondences
 * :mod:`repro.kernels`   — HAQJSK(A/D) plus every baseline of Table III
 * :mod:`repro.engine`    — pluggable Gram backends (serial/batched/process)
-* :mod:`repro.store`     — content-addressed artifacts, incremental Grams
+* :mod:`repro.store`     — content-addressed artifacts, tile-checkpointed Grams
 * :mod:`repro.ml`        — C-SVM (SMO), multiclass, cross-validation
 * :mod:`repro.serve`     — model bundles + the prediction service
 * :mod:`repro.gnn`       — numpy autograd + the deep baselines of Table V

@@ -1,9 +1,9 @@
 """ExecutionContext — one object for every execution-policy knob.
 
-Every execution knob (backend, tile size, sink, store, tile
-checkpointing, the normalisation / PSD policy and the compute policy)
-travels in a single frozen :class:`ExecutionContext`, threaded as one
-``ctx=`` parameter through ``gram`` / ``cross_gram`` / ``gram_extend``,
+Every execution knob (backend, tile size, sink, store, the
+normalisation / PSD policy and the compute policy) travels in a single
+frozen :class:`ExecutionContext`, threaded as one ``ctx=`` parameter
+through ``gram`` / ``cross_gram`` / ``gram_extend``,
 ``cross_validate_graph_kernel``, ``NystromApproximation``,
 ``GramConditioner``, ``train_bundle`` / ``PredictionService`` and the
 experiment runners:
@@ -74,14 +74,11 @@ class ExecutionContext:
         :func:`repro.store.backend_for`; strings are coerced to a store
         at construction), or ``None``: completed Grams are
         fetched/persisted by content key, and miss computations
-        tile-checkpoint when ``tile_checkpoint`` is on.
+        tile-checkpoint (see :func:`repro.store.store_backed_gram`).
     sink_factory:
         Zero-argument callable producing a fresh
         :class:`~repro.engine.tiles.GramSink` per matrix (sinks are
         single-use). Mutually exclusive with ``store``.
-    tile_checkpoint:
-        Whether store-backed miss computations commit finished tiles
-        (kill → resume at tile granularity). Ignored without a store.
     normalize / ensure_psd:
         Tri-state policy defaults: ``None`` keeps each entry point's
         historical default (``gram`` raw, the CV protocol normalised),
@@ -89,21 +86,21 @@ class ExecutionContext:
         context unless the call site overrides it explicitly.
     backend / precision / entropy:
         Compute-policy knobs (see :class:`repro.backend.ComputePolicy`):
-        the array backend (``"numpy"`` / ``"torch"`` / ``"cupy"``), the
+        the array backend (``"numpy"``, or any name added with
+        :func:`repro.backend.register_backend`), the
         device precision (``"float64"`` / ``"float32"``) and the entropy
         path (``"eig"`` / ``"chebyshev"`` / ``"auto"``). ``None`` falls
         back to the ``REPRO_BACKEND`` / ``REPRO_PRECISION`` /
         ``REPRO_ENTROPY`` environment, else the bit-stable
         numpy/float64/eig reference. Field values are validated at
-        construction; backend *availability* (is torch importable, is a
-        GPU present) is checked by :meth:`validate`.
+        construction; backend *availability* (does a registered
+        backend's library import here) is checked by :meth:`validate`.
     """
 
     engine: "GramEngine | str | None" = None
     tile_size: "int | None" = None
     store: object = None
     sink_factory: object = None
-    tile_checkpoint: bool = True
     normalize: "bool | None" = None
     ensure_psd: "bool | None" = None
     backend: "str | None" = None
@@ -213,8 +210,8 @@ class ExecutionContext:
                 "both (offending fields: store, sink_factory)"
             )
         # Resolving the compute policy's backend instance imports the
-        # underlying library, so a context naming torch/cupy in an
-        # environment without it fails here with the named BackendError
+        # underlying library, so a context naming a registered backend
+        # whose library is missing here fails with the named BackendError
         # (listing the usable backends) instead of deep inside a tile.
         self.compute_policy().array_backend
         effective_psd = self.ensure_psd if ensure_psd is None else ensure_psd
@@ -339,7 +336,6 @@ class ExecutionContext:
                 self.store, "address", getattr(self.store, "root", None)
             ),
             "sink": sink_name,
-            "tile_checkpoint": bool(self.tile_checkpoint),
             "normalize": self.normalize,
             "ensure_psd": self.ensure_psd,
             "backend": policy.backend,
@@ -357,7 +353,7 @@ class ExecutionContext:
             )
         known = {
             "engine", "tile_size", "store", "sink",
-            "tile_checkpoint", "normalize", "ensure_psd",
+            "normalize", "ensure_psd",
             "backend", "precision", "entropy",
         }
         extras = set(record) - known
@@ -380,7 +376,6 @@ class ExecutionContext:
             engine=record.get("engine"),
             tile_size=record.get("tile_size"),
             store=store,
-            tile_checkpoint=bool(record.get("tile_checkpoint", True)),
             normalize=record.get("normalize"),
             ensure_psd=record.get("ensure_psd"),
             backend=record.get("backend"),

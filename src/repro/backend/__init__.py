@@ -16,10 +16,10 @@ or, end to end, through the execution context:
 
     ctx = ExecutionContext(backend="numpy", precision="float32")
 
-Backends: ``numpy`` (reference, always available), ``torch`` and
-``cupy`` (optional, discovered lazily — selecting one that is not
-installed raises a named :class:`~repro.errors.BackendError`, never an
-``ImportError``). The default policy (numpy / float64 / eig) reproduces
+Backends: ``numpy`` (the reference, always available). Further
+backends register with :func:`register_backend`; one whose library does
+not import here stays listed, and selecting it raises a named
+:class:`~repro.errors.BackendError`, never an ``ImportError``. The default policy (numpy / float64 / eig) reproduces
 the historical arithmetic bit-for-bit; the float32 and Chebyshev fast
 paths trade documented tolerance tiers (README "Backends & precision")
 for throughput.
@@ -39,9 +39,8 @@ from repro.backend.base import (
 )
 from repro.backend.chebyshev import chebyshev_entropies
 
-# Importing the implementation modules registers them; torch/cupy only
-# *import their library* on first resolve, so this is cheap everywhere.
-from repro.backend import cupy_backend, numpy_backend, torch_backend  # noqa: F401
+# Importing the implementation module registers it.
+from repro.backend import numpy_backend  # noqa: F401
 from repro.backend.policy import (
     DEFAULT_CHEBYSHEV_DEGREE,
     ENTROPY_ENV_VAR,

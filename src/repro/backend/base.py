@@ -3,18 +3,19 @@
 A backend owns the batched hot-path primitives every QJSD-family kernel
 bottoms out in — stacked Hermitian eigenvalues, the ``safe_xlogx``
 entropy reduction, mixed-state assembly, matmul — over *device arrays*
-of its own kind (plain ndarrays for NumPy, tensors for torch, cupy
-arrays on a GPU). The compute seam is deliberately narrow: host code
+of its own kind (plain ndarrays for NumPy, a GPU library's arrays for
+a device backend). The compute seam is deliberately narrow: host code
 hands a backend float64 NumPy input once per tile, all intermediate
 math happens in device arrays at the policy's precision, and only small
 reductions (entropies, traces) come back to the host — always as
 float64, so tile accumulation never inherits device round-off beyond
 the documented tolerance tier.
 
-Backends register by name; optional ones (torch, cupy) are *registered
-eagerly but imported lazily* — the registry always lists them, and
-:func:`resolve_backend` raises one named
-:class:`~repro.errors.BackendError` both for unknown names and for
+Backends register by name (:func:`register_backend`). An optional one
+registers eagerly but imports its library lazily, reporting it through
+:meth:`ArrayBackend.is_available` / :meth:`ArrayBackend.unavailable_reason`:
+the registry always lists it, and :func:`resolve_backend` raises one
+named :class:`~repro.errors.BackendError` both for unknown names and for
 registered-but-unavailable libraries, so callers never see a raw
 ``ImportError`` from backend selection.
 """

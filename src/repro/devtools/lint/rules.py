@@ -122,7 +122,6 @@ _KEY_FUNCS = frozenset({
 #: engine must *skip*, not recompute.
 _SCHEDULE_FIELDS = frozenset({
     "engine", "tile_size", "store", "sink", "sink_factory",
-    "tile_checkpoint",
 })
 
 

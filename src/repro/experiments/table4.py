@@ -160,7 +160,6 @@ def evaluate_cell(
         ctx.store,
         normalize=True,
         ensure_psd=ensure_psd,
-        tile_checkpoint=ctx.tile_checkpoint,
         stats=stats,
         ctx=ctx.replace(store=None),
         digest=dataset_digest,
@@ -311,7 +310,6 @@ def _execute_gram_node(payload: dict, ctx) -> dict:
         ctx.store,
         normalize=True,
         ensure_psd=payload["kernel"] in INDEFINITE_KERNELS,
-        tile_checkpoint=ctx.tile_checkpoint,
         stats=stats,
         ctx=ctx.replace(store=None),
         digest=payload.get("digest"),

@@ -18,7 +18,7 @@ import numpy as np
 from repro.api.context import resolve_context
 from repro.engine.base import GramEngine, resolve_engine, tile_ranges
 from repro.engine.tiles import GramSink, TilePlan, stream_tiles
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.graphs.graph import Graph
 from repro.store.fingerprints import config_fingerprint
 from repro.utils.linalg import clip_to_psd
@@ -119,7 +119,6 @@ class GraphKernel(abc.ABC):
                 ctx.store,
                 normalize=normalize,
                 ensure_psd=ensure_psd,
-                tile_checkpoint=ctx.tile_checkpoint,
                 ctx=ctx.replace(store=None),
             )
         engine = ctx.engine_argument()
@@ -212,7 +211,13 @@ class GraphKernel(abc.ABC):
         new ``(N, ΔN)`` cross block and ``(ΔN, ΔN)`` diagonal block.
 
         ``ctx`` (an :class:`~repro.api.context.ExecutionContext`) selects
-        the backend and store.
+        the engine, tile size and compute policy. The extension is
+        computed in memory: a context carrying ``store`` or
+        ``sink_factory`` is refused with a
+        :class:`~repro.errors.ValidationError` — the store-backed way to
+        grow a Gram is ``gram(old + new, ctx=ctx)``, which restores every
+        interior tile a prior ``gram(old, ctx=ctx)`` committed (see
+        :func:`~repro.store.store_backed_gram`).
 
         ``cached_gram`` must be the *raw* output of
         ``gram(old_graphs, normalize=False, ensure_psd=False)`` (cosine
@@ -224,21 +229,20 @@ class GraphKernel(abc.ABC):
         ``O((N+ΔN)²)`` — the serving workload of a growing collection
         against a fixed reference set.
 
-        With ``ctx.store`` (:class:`repro.store.ArtifactStore`), the new
-        blocks are computed through tile-checkpointing sinks: every
-        finished tile commits before the next is computed, so a killed
-        extension resumes at tile granularity, and tiles persisted by a
-        prior checkpointed run over the same graph slices are reused
-        instead of recomputed. (The prior *matrix* is never needed — tile
-        keys address slice content directly; see
-        :mod:`repro.store.tiles`.)
-
         Raises a :class:`~repro.errors.KernelError` when this kernel's
         values depend on the whole collection (HAQJSK's prototype system,
         shared-decay random walks, ...): extending such a Gram would
         silently invalidate the cached ``N × N`` block.
         """
         ctx = resolve_context(ctx, owner=f"{self.name}.gram_extend")
+        for field in ("store", "sink_factory"):
+            if getattr(ctx, field) is not None:
+                raise ValidationError(
+                    f"{self.name}.gram_extend computes in memory and cannot "
+                    f"honour ctx.{field}; grow through the store with "
+                    f"gram(old + new, ctx=ctx) instead, which reuses every "
+                    f"interior tile of gram(old) (offending field: {field})"
+                )
         self._check_graphs(old_graphs)
         self._check_graphs(new_graphs)
         if not self.collection_independent:
@@ -256,7 +260,7 @@ class GraphKernel(abc.ABC):
                 f"expected ({n_old}, {n_old}) for {n_old} old graphs"
             )
         cross, diagonal = self._extension_blocks(
-            list(old_graphs), list(new_graphs), ctx.engine_argument(), store=ctx.store
+            list(old_graphs), list(new_graphs), ctx.engine_argument()
         )
         cross = np.asarray(cross, dtype=float)
         diagonal = np.asarray(diagonal, dtype=float)
@@ -278,12 +282,10 @@ class GraphKernel(abc.ABC):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Subclass hook: the ``(N, ΔN)`` cross and ``(ΔN, ΔN)`` diagonal
         blocks of the extended Gram. Only called after the
-        collection-independence gate in :meth:`gram_extend` passed;
-        ``store`` (when given) requests tile-checkpointed computation."""
+        collection-independence gate in :meth:`gram_extend` passed."""
         raise KernelError(
             f"{self.name}: no incremental Gram path is implemented for "
             f"{type(self).__name__}"
@@ -417,12 +419,9 @@ class FeatureMapKernel(GraphKernel):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # One shared feature space over old + new (vocabulary union); the
         # old block's inner products are untouched by the extra columns.
-        # No tile checkpointing: both blocks are single matmuls, cheaper
-        # than the round trip a checkpoint would add.
         features = self.feature_matrix(old_graphs + new_graphs)
         old_features = features[: len(old_graphs)]
         new_features = features[len(old_graphs) :]
@@ -596,16 +595,13 @@ class PairwiseKernel(GraphKernel):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # Preparation is (re)run over old + new as one collection — it is
         # linear and cheap relative to the pair stage, and for
         # collection-independent kernels (the gram_extend gate) it yields
         # the same pair values as any other collection. Only the N·ΔN
         # cross pairs and the ΔN(ΔN+1)/2 new diagonal pairs are evaluated,
-        # through the same engine backends as a full Gram; a store makes
-        # both blocks tile-checkpointed (kill-resume at tile granularity,
-        # slice-keyed tile reuse across prior checkpointed runs).
+        # through the same engine backends as a full Gram.
         states = self.prepare(old_graphs + new_graphs)
         if len(states) != len(old_graphs) + len(new_graphs):
             raise KernelError(
@@ -615,20 +611,8 @@ class PairwiseKernel(GraphKernel):
         resolved = resolve_engine(engine)
         old_states = states[: len(old_graphs)]
         new_states = states[len(old_graphs) :]
-        cross_sink = diagonal_sink = None
-        if store is not None:
-            from repro.store.tiles import CheckpointSink, tile_keyer_for
-
-            cross_sink = CheckpointSink(
-                store, tile_keyer_for(self, old_graphs, new_graphs)
-            )
-            diagonal_sink = CheckpointSink(
-                store, tile_keyer_for(self, new_graphs)
-            )
-        cross = resolved.cross_gram(
-            self, old_states, new_states, sink=cross_sink
-        )
-        diagonal = resolved.gram(self, new_states, sink=diagonal_sink)
+        cross = resolved.cross_gram(self, old_states, new_states)
+        diagonal = resolved.gram(self, new_states)
         return cross, diagonal
 
 

@@ -188,9 +188,8 @@ def cross_validate_graph_kernel(
       computed (then persisted) on a miss, so repeated protocol runs and
       interrupted experiment sweeps skip straight past completed Grams.
       On a miss the computation itself streams through a
-      tile-checkpointing plan (``ctx.tile_checkpoint``, default on): a
-      run killed mid-Gram resumes at the first unfinished *tile*, not
-      from scratch.
+      tile-checkpointing plan: a run killed mid-Gram resumes at the
+      first unfinished *tile*, not from scratch.
     * ``ctx.sink_factory`` (exclusive with the store —
       :meth:`ExecutionContext.validate` refuses the combination) hands
       Gram assembly to an explicit sink — a

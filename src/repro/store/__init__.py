@@ -14,12 +14,12 @@ attacks *recomputation*. The pieces:
   layer), giving the experiment harness checkpoint/resume
   (``REPRO_STORE=dir python -m repro.experiments.runner table4 ...``) and
   the ML layer store-backed Grams.
-* **The incremental path** —
-  :meth:`repro.kernels.base.GraphKernel.gram_extend` grows a cached Gram
-  by only the new ``(N, ΔN)`` cross and ``(ΔN, ΔN)`` diagonal blocks;
-  :class:`IncrementalGram` wraps it into a warm-restartable serving
-  object. Exact for collection-independent kernels; the HAQJSK family
-  first freezes its prototype system on a reference collection
+* **Gram reuse** — :func:`store_backed_gram` (what
+  ``kernel.gram(graphs, ctx=ExecutionContext(store=...))`` runs) looks
+  the whole Gram up first and, on a miss, computes it tile-checkpointed,
+  so a grown collection ``gram(old + new)`` restores every interior tile
+  of ``gram(old)``. Exact for collection-independent kernels; the HAQJSK
+  family first freezes its prototype system on a reference collection
   (``kernel.freeze(...)``) — the frozen-prototype serving mode.
 * **Pluggable backends** — :mod:`repro.store.backends` puts a
   byte-oriented :class:`StoreBackend` protocol (atomic writes +
@@ -45,7 +45,6 @@ attacks *recomputation*. The pieces:
 from repro.store.artifacts import (
     DEFAULT_MEMORY_ENTRIES,
     ArtifactStore,
-    IncrementalGram,
     artifact_key,
     gram_key,
     store_backed_gram,
@@ -79,7 +78,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "DEFAULT_MEMORY_ENTRIES",
     "DirectoryBackend",
-    "IncrementalGram",
     "LEASE_KIND",
     "Lease",
     "MemoryBackend",

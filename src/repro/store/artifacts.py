@@ -365,7 +365,6 @@ def store_backed_gram(
     normalize: bool = False,
     ensure_psd: bool = False,
     extra: "dict | None" = None,
-    tile_checkpoint: bool = False,
     stats: "dict | None" = None,
     ctx=None,
     digest: "str | None" = None,
@@ -379,23 +378,24 @@ def store_backed_gram(
     on the first run but a read-only one after a warm restart would be a
     trap.
 
-    ``tile_checkpoint=True`` makes the *miss* path itself resumable: the
-    Gram is computed through a :class:`~repro.store.tiles.CheckpointSink`,
-    every finished tile committing to the store before the next is
-    computed. A run killed mid-Gram no longer loses the whole matrix —
-    the rerun restores the finished tiles and computes only the rest
-    (PR 2's whole-Gram checkpointing kicks in once the matrix completes
-    and is persisted under its own key). Tiles hold *raw* kernel values,
-    so they are shared across ``normalize`` / ``ensure_psd`` variants of
-    the same (kernel, graphs) computation. Kernels on the dense-replay
-    fallback (core variants) skip the sink — they recompute the full
-    matrix before any tile streams, so checkpointing their tiles is pure
-    I/O with zero resume value. For collection-*dependent* kernels, whose
-    tile keys embed the collection digest and can never serve another
-    computation, the tiles are reclaimed once the whole Gram is committed
-    (with a cache-hit sweep catching tiles orphaned by a kill inside that
-    commit-then-discard window); collection-independent tiles stay —
-    grown collections and other option variants reuse them.
+    Lookup order: the whole-Gram key first; on a miss the Gram is
+    computed through a :class:`~repro.store.tiles.CheckpointSink`, every
+    finished tile committing to the store before the next is computed.
+    A run killed mid-Gram restores the finished tiles and computes only
+    the rest, and a grown collection (``gram(old + new)`` after
+    ``gram(old)``) restores every interior tile of the smaller Gram —
+    this is the store's one Gram-reuse path. Tiles hold *raw* kernel
+    values, so they are shared across ``normalize`` / ``ensure_psd``
+    variants of the same (kernel, graphs) computation. Kernels on the
+    dense-replay fallback (core variants, ``streams_tiles`` False) skip
+    the sink — they recompute the full matrix before any tile streams,
+    so checkpointing their tiles is pure I/O with zero resume value. For
+    collection-*dependent* kernels, whose tile keys embed the collection
+    digest and can never serve another computation, the tiles are
+    reclaimed once the whole Gram is committed (with a cache-hit sweep
+    catching tiles orphaned by a kill inside that commit-then-discard
+    window); collection-independent tiles stay — grown collections and
+    other option variants reuse them.
 
     ``stats`` (optional dict) is filled with the run's accounting:
     ``cached`` (whole-Gram hit), ``tiles_restored``, ``tiles_computed``.
@@ -404,9 +404,8 @@ def store_backed_gram(
 
     ``ctx`` (``None`` means ``ExecutionContext()``) carries the
     engine/tile selection and, for the ``store=None`` fallthrough, any
-    sink factory; the store and checkpoint decisions stay with the
-    explicit arguments so this function keeps exactly one persistence
-    protocol.
+    sink factory; the store stays an explicit argument so this function
+    keeps exactly one persistence protocol.
     """
     from repro.api.context import resolve_context
 
@@ -418,7 +417,7 @@ def store_backed_gram(
         return kernel.gram(
             graphs, normalize=normalize, ensure_psd=ensure_psd, ctx=gram_ctx
         )
-    streams = tile_checkpoint and getattr(kernel, "streams_tiles", False)
+    streams = kernel.streams_tiles
     dependent = not getattr(kernel, "collection_independent", False)
     key = gram_key(
         kernel, graphs, normalize=normalize, ensure_psd=ensure_psd,
@@ -481,92 +480,3 @@ def _sweep_orphaned_tiles(store, kernel, graphs, engine) -> None:
         "gram-tile", keyer.key(first[0], first[1], diagonal=plan.is_diagonal(*first))
     ):
         discard_plan_tiles(store, keyer, plan)
-
-
-class IncrementalGram:
-    """A growing raw Gram matrix — the warm-restart serving path.
-
-    Holds a collection and its *raw* (unnormalised, unprojected) Gram
-    matrix; :meth:`extend` folds newly arrived graphs in through
-    :meth:`~repro.kernels.base.GraphKernel.gram_extend`, paying
-    ``O(N·ΔN)`` per arrival instead of the full ``O((N+ΔN)²)``. With
-    ``ctx.store``, every grown Gram is persisted under its collection's
-    content key, so a restarted process constructed over the same graphs
-    resumes from disk instead of recomputing (``ctx=None`` means
-    ``ExecutionContext()``).
-
-    For collection-level kernels (the HAQJSK family) the kernel must be
-    in frozen-prototype mode first (``kernel.freeze(reference_graphs)``);
-    otherwise :meth:`extend` raises the same named
-    :class:`~repro.errors.KernelError` as ``gram_extend``.
-
-    Persistence writes the *full* grown matrix per :meth:`extend` (which
-    keeps warm restart a single key lookup) but prunes each superseded
-    intermediate, so the store holds at most two Grams per serving
-    object: the one this object started from (another process may still
-    warm-restart from it) and the latest. If write bandwidth ever
-    dominates — it is O((N+ΔN)²) per arrival batch against O(N·ΔN)
-    compute — batch the arrivals.
-    """
-
-    def __init__(
-        self,
-        kernel,
-        graphs=(),
-        *,
-        ctx=None,
-    ) -> None:
-        from repro.api.context import resolve_context
-
-        self.ctx = resolve_context(ctx, owner="IncrementalGram")
-        self.kernel = kernel
-        self.graphs: list = list(graphs)
-        self._initial_key: "str | None" = None
-        self._latest_key: "str | None" = None
-        self.gram = np.zeros((0, 0))
-        if self.graphs:
-            self._load_initial()
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-    def extend(self, new_graphs) -> np.ndarray:
-        """Fold ``new_graphs`` into the Gram; returns the grown matrix."""
-        new_graphs = list(new_graphs)
-        if not new_graphs:
-            return self.gram
-        if not self.graphs:
-            self.graphs = new_graphs
-            self._load_initial()
-            return self.gram
-        grown = self.kernel.gram_extend(
-            self.gram, self.graphs, new_graphs, ctx=self.ctx.replace(store=None)
-        )
-        # Freshly assembled and owned by this object: freeze it so the
-        # serving Gram is uniformly immutable whether it was computed,
-        # extended, or warm-restarted from the store.
-        grown.setflags(write=False)
-        self.graphs = self.graphs + new_graphs
-        self.gram = grown
-        store = self.ctx.store
-        if store is not None:
-            new_key = gram_key(self.kernel, self.graphs)
-            # copy=False: `grown` is frozen and owned by this object.
-            store.put_array("gram", new_key, grown, copy=False)
-            # Prune the superseded intermediate, but never the Gram this
-            # object started from — a restarted process reconstructs over
-            # the initial collection and must still find it.
-            if self._latest_key not in (None, self._initial_key, new_key):
-                store.discard("gram", self._latest_key)
-            self._latest_key = new_key
-        return self.gram
-
-    def _load_initial(self) -> None:
-        """The first Gram over ``self.graphs``: a store read when one
-        is configured and holds it, else computed (and persisted)."""
-        self.gram = store_backed_gram(
-            self.kernel, self.graphs, self.ctx.store, ctx=self.ctx
-        )
-        if self.ctx.store is not None:
-            self._initial_key = gram_key(self.kernel, self.graphs)
-            self._latest_key = self._initial_key

@@ -20,7 +20,6 @@ class TestConstruction:
         assert ctx.engine is None
         assert ctx.store is None
         assert ctx.sink_factory is None
-        assert ctx.tile_checkpoint is True
         assert ctx.normalize is None and ctx.ensure_psd is None
 
     def test_frozen(self):

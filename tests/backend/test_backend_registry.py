@@ -28,11 +28,11 @@ class TestRegistry:
         assert "numpy" in usable_backends()
         assert NumpyBackend.is_available()
 
-    def test_optional_backends_registered_eagerly(self):
-        # Registration never imports torch/cupy — the names are always
-        # listed even where the libraries are absent.
-        assert "torch" in available_backends()
-        assert "cupy" in available_backends()
+    def test_optional_backends_registered_eagerly(self, unavailable_backend):
+        # A registered backend stays listed even where its library is
+        # absent; only usable_backends() filters on availability.
+        assert unavailable_backend in available_backends()
+        assert unavailable_backend not in usable_backends()
 
     def test_resolve_none_uses_default(self):
         backend = resolve_backend(None)
@@ -64,26 +64,21 @@ class TestSelectionErrors:
     def test_backend_error_is_a_kernel_error(self):
         assert issubclass(BackendError, KernelError)
 
-    @pytest.mark.parametrize("name", ["torch", "cupy"])
-    def test_unavailable_optional_backend_raises_clean_error(self, name):
-        cls = BACKENDS[name]
-        if cls.is_available():  # pragma: no cover - GPU/torch machines
-            pytest.skip(f"{name} is installed here")
+    def test_unavailable_optional_backend_raises_clean_error(
+        self, unavailable_backend
+    ):
         # The failure must surface as a BackendError carrying the reason,
         # never as a raw ImportError escaping resolve_backend.
         with pytest.raises(BackendError) as info:
-            resolve_backend(name)
+            resolve_backend(unavailable_backend)
         message = str(info.value)
-        assert name in message
-        assert cls.unavailable_reason()
+        assert unavailable_backend in message
+        assert BACKENDS[unavailable_backend].unavailable_reason() in message
         assert not isinstance(info.value, ImportError)
 
-    def test_unavailable_error_lists_usable_backends(self):
-        cls = BACKENDS["torch"]
-        if cls.is_available():  # pragma: no cover - torch machines
-            pytest.skip("torch is installed here")
+    def test_unavailable_error_lists_usable_backends(self, unavailable_backend):
         with pytest.raises(BackendError) as info:
-            resolve_backend("torch")
+            resolve_backend(unavailable_backend)
         assert "numpy" in str(info.value)
 
 

@@ -174,14 +174,11 @@ class TestContextThreading:
         with pytest.raises(BackendError, match="numpy"):
             ExecutionContext(backend="not-a-backend")
 
-    def test_validate_checks_backend_availability(self):
-        from repro.backend import BACKENDS
+    def test_validate_checks_backend_availability(self, unavailable_backend):
         from repro.errors import BackendError
 
-        if BACKENDS["torch"].is_available():  # pragma: no cover
-            pytest.skip("torch is installed here")
-        ctx = ExecutionContext(backend="torch")
-        with pytest.raises(BackendError, match="torch"):
+        ctx = ExecutionContext(backend=unavailable_backend)
+        with pytest.raises(BackendError, match=unavailable_backend):
             ctx.validate()
 
     def test_reference_context_still_validates(self):

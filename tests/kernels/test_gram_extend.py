@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import (
     AlignedSubtreeKernel,
@@ -198,3 +198,23 @@ class TestExtensionValidation:
             kernel.gram_extend(cached, old_graphs, [])
         with pytest.raises(KernelError):
             kernel.gram_extend(cached, [], old_graphs)
+
+    @pytest.mark.parametrize("field", ["store", "sink_factory"])
+    def test_persistence_context_refused(
+        self, old_graphs, new_graphs, tmp_path, field
+    ):
+        """gram_extend computes in memory; a context asking for a store or
+        a sink must be refused by name, not silently ignored."""
+        from repro.engine import DenseSink
+        from repro.store import ArtifactStore
+
+        kernel = QJSKUnaligned()
+        cached = kernel.gram(old_graphs)
+        value = {
+            "store": ArtifactStore(str(tmp_path / "store")),
+            "sink_factory": DenseSink,
+        }[field]
+        ctx = ExecutionContext(**{field: value})
+        with pytest.raises(ValidationError, match=field) as info:
+            kernel.gram_extend(cached, old_graphs, new_graphs, ctx=ctx)
+        assert "gram(old + new, ctx=ctx)" in str(info.value)

@@ -12,7 +12,6 @@ from repro.graphs.hashing import collection_digest, graph_digest
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
 from repro.store import (
     ArtifactStore,
-    IncrementalGram,
     artifact_key,
     gram_key,
     store_backed_gram,
@@ -235,57 +234,6 @@ class TestStoreBackedGram:
         normalized = store_backed_gram(kernel, graphs, store, normalize=True)
         assert not np.allclose(raw, normalized)
         assert np.allclose(np.diag(normalized), 1.0)
-
-
-class TestIncrementalGram:
-    def test_grows_and_matches_scratch(self, graphs):
-        kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:2])
-        inc.extend(graphs[2:])
-        assert len(inc) == len(graphs)
-        assert np.allclose(inc.gram, kernel.gram(graphs), atol=1e-10)
-
-    def test_starts_empty(self, graphs):
-        kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel)
-        assert inc.gram.shape == (0, 0)
-        inc.extend(graphs)
-        assert np.allclose(inc.gram, kernel.gram(graphs), atol=1e-10)
-
-    def test_warm_restart_skips_recompute(self, tmp_path, graphs):
-        root = str(tmp_path / "store")
-        store = ArtifactStore(root)
-        kernel = _CountingKernel()
-        IncrementalGram(kernel, graphs, ctx=ExecutionContext(store=store))
-        assert kernel.gram_calls == 1
-        restarted = IncrementalGram(
-            kernel, graphs, ctx=ExecutionContext(store=ArtifactStore(root))
-        )
-        assert kernel.gram_calls == 1  # loaded, not recomputed
-        assert np.allclose(restarted.gram, QJSKUnaligned().gram(graphs))
-
-    def test_extended_gram_is_persisted(self, tmp_path, graphs):
-        store = ArtifactStore(str(tmp_path / "store"))
-        kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:2], ctx=ExecutionContext(store=store))
-        inc.extend(graphs[2:])
-        key = gram_key(kernel, graphs)
-        assert np.allclose(store.get_array("gram", key), inc.gram)
-
-    def test_superseded_intermediates_are_pruned(self, tmp_path, graphs):
-        """Disk growth stays bounded: initial + latest Gram only."""
-        store = ArtifactStore(str(tmp_path / "store"))
-        kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:1], ctx=ExecutionContext(store=store))
-        inc.extend(graphs[1:2])
-        inc.extend(graphs[2:3])
-        inc.extend(graphs[3:])
-        initial_key = gram_key(kernel, graphs[:1])
-        latest_key = gram_key(kernel, graphs)
-        assert store.has("gram", initial_key)  # warm-restart anchor kept
-        assert store.has("gram", latest_key)
-        for upto in (2, 3):  # the intermediates are gone
-            assert not store.has("gram", gram_key(kernel, graphs[:upto]))
 
 
 class TestMLRouting:

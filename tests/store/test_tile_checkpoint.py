@@ -267,56 +267,53 @@ class TestCheckpointResume:
 
 
 class TestTileGranularExtend:
+    @pytest.mark.parametrize("entry", ["sink", "store"])
     def test_grown_collection_reuses_interior_tiles(
-        self, store, graphs, newcomers
+        self, store, graphs, newcomers, entry
     ):
         """gram(old + new) after gram(old) against the same store
         recomputes only the tiles that touch new graphs or the moved
-        boundary — the tile-granular gram_extend."""
+        boundary — the tile-granular gram_extend. ``store`` drives the
+        public entry (store_backed_gram, what gram(ctx=store) runs), the
+        store's one way to grow a Gram; ``sink`` drives an explicit
+        CheckpointSink."""
         engine = BatchedEngine(tile_size=4)
-        kernel = QJSKUnaligned()
-        first = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        kernel.gram(
-            graphs, ctx=ExecutionContext(engine=engine, sink_factory=lambda: first)
-        )
-        assert first.tiles_computed == 10  # 13 graphs / tile 4 -> 4 ranges
-
         grown = list(graphs) + list(newcomers)
-        second = CheckpointSink(store, tile_keyer_for(kernel, grown))
         counted = _CountingQJSK()
-        result = counted.gram(
-            grown, ctx=ExecutionContext(engine=engine, sink_factory=lambda: second)
-        )
+        if entry == "sink":
+            kernel = QJSKUnaligned()
+            first = CheckpointSink(store, tile_keyer_for(kernel, graphs))
+            kernel.gram(
+                graphs, ctx=ExecutionContext(engine=engine, sink_factory=lambda: first)
+            )
+            first_computed = first.tiles_computed
+            second = CheckpointSink(store, tile_keyer_for(kernel, grown))
+            result = counted.gram(
+                grown, ctx=ExecutionContext(engine=engine, sink_factory=lambda: second)
+            )
+            restored, computed = second.tiles_restored, second.tiles_computed
+        else:
+            from repro.store import store_backed_gram
+
+            # Tile keys carry the kernel fingerprint, which names the
+            # class: both calls go through the same counting kernel.
+            ctx = ExecutionContext(engine=engine)
+            first_stats: dict = {}
+            store_backed_gram(counted, graphs, store, stats=first_stats, ctx=ctx)
+            first_computed = first_stats["tiles_computed"]
+            counted.block_calls = 0
+            stats: dict = {}
+            result = store_backed_gram(counted, grown, store, stats=stats, ctx=ctx)
+            restored, computed = stats["tiles_restored"], stats["tiles_computed"]
+        assert first_computed == 10  # 13 graphs / tile 4 -> 4 ranges
         # 17 graphs -> ranges (0,4)(4,8)(8,12)(12,16)(16,17): 15 tiles.
         # Reusable: pairs among the first three (unchanged) ranges = 6;
         # the old partial range (12,13) moved, so its tiles recompute.
-        assert second.tiles_restored == 6
-        assert second.tiles_computed == 9
+        assert restored == 6
+        assert computed == 9
         assert counted.block_calls == 9
         reference = QJSKUnaligned().gram(grown, ctx=ExecutionContext(engine=engine))
         assert np.array_equal(np.asarray(result), reference)
-
-    def test_gram_extend_with_store_checkpoints_blocks(
-        self, store, graphs, newcomers
-    ):
-        """gram_extend(store=...) commits its cross/diagonal tiles, so a
-        second identical extension restores everything."""
-        kernel = _CountingQJSK()
-        engine = BatchedEngine(tile_size=4)
-        cached = kernel.gram(graphs, ctx=ExecutionContext(engine=engine))
-        extended = kernel.gram_extend(
-            cached, graphs, newcomers, ctx=ExecutionContext(engine=engine, store=store)
-        )
-        kernel.block_calls = 0
-        again = kernel.gram_extend(
-            cached, graphs, newcomers, ctx=ExecutionContext(engine=engine, store=store)
-        )
-        assert kernel.block_calls == 0  # every block tile came from disk
-        assert np.array_equal(extended, again)
-        full = QJSKUnaligned().gram(
-            list(graphs) + list(newcomers), ctx=ExecutionContext(engine=engine)
-        )
-        assert np.allclose(extended, full, atol=1e-10, rtol=0.0)
 
 
 class TestMemmapArtifacts:
@@ -389,12 +386,12 @@ class TestStreamsTilesGate:
         assert QJSKUnaligned().streams_tiles
         assert WeisfeilerLehmanKernel(3).streams_tiles
 
-        first = store_backed_gram(kernel, graphs, store, tile_checkpoint=True)
+        first = store_backed_gram(kernel, graphs, store)
         tile_dir = f"{store.root}/gram-tile"
         import os
 
         assert not os.path.isdir(tile_dir)
-        second = store_backed_gram(kernel, graphs, store, tile_checkpoint=True)
+        second = store_backed_gram(kernel, graphs, store)
         assert np.array_equal(first, second)
 
 
@@ -410,12 +407,12 @@ class TestDeadTileReclamation:
         dependent = HAQJSKKernelD(
             n_prototypes=8, n_levels=2, max_layers=3, seed=0
         )
-        store_backed_gram(dependent, graphs, store, tile_checkpoint=True)
+        store_backed_gram(dependent, graphs, store)
         keyer = tile_keyer_for(dependent, graphs)
         tile = (0, min(64, len(graphs)))
         assert not store.has("gram-tile", keyer.key(tile, tile, diagonal=True))
 
         independent = QJSKUnaligned()
-        store_backed_gram(independent, graphs, store, tile_checkpoint=True)
+        store_backed_gram(independent, graphs, store)
         keyer = tile_keyer_for(independent, graphs)
         assert store.has("gram-tile", keyer.key(tile, tile, diagonal=True))
