@@ -55,7 +55,25 @@ def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     p_sq = np.sum(points**2, axis=1)[:, None]
     c_sq = np.sum(centers**2, axis=1)[None, :]
     cross = points @ centers.T
-    return np.clip(p_sq + c_sq - 2.0 * cross, 0.0, None)
+    out = p_sq + c_sq
+    cross *= 2.0
+    out -= cross
+    return np.maximum(out, 0.0, out=out)
+
+
+def _cluster_means(values: np.ndarray, assignments: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each non-empty cluster's mean of ``values`` rows into ``out``.
+
+    A stable sort groups the rows once, so each mean reduces the same rows
+    in the same order and layout as ``values[assignments == c].mean(axis=0)``
+    (bitwise equal) without a boolean scan per cluster.
+    """
+    counts = np.bincount(assignments, minlength=out.shape[0])
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    grouped = values[np.argsort(assignments, kind="stable")]
+    for c in np.flatnonzero(counts):
+        out[c] = grouped[bounds[c] : bounds[c + 1]].mean(axis=0)
+    return out
 
 
 def kmeans_plusplus_init(
@@ -102,6 +120,9 @@ def kmeans(
     init_centers:
         Optional warm-start centers (``(n_clusters, dim)``). Missing rows
         are filled by k-means++.
+
+    The result can contain an empty cluster: re-seeding an empty one may
+    take the only point of another (known defect).
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
@@ -138,8 +159,8 @@ def kmeans(
         distances = _pairwise_sq_dists(arr, centers)
         new_assignments = np.argmin(distances, axis=1)
 
-        # Re-seed empty clusters on the points farthest from their centers,
-        # so the requested cluster count is honoured.
+        # Re-seed empty clusters on the points farthest from their centers
+        # (a victim may be the only member of its cluster; see docstring).
         counts = np.bincount(new_assignments, minlength=n_clusters)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
@@ -151,12 +172,8 @@ def kmeans(
                 victim = int(order[slot])
                 new_assignments[victim] = empty
                 centers[empty] = arr[victim]
-            counts = np.bincount(new_assignments, minlength=n_clusters)
 
-        moved = float("inf")
-        new_centers = centers.copy()
-        for c in np.flatnonzero(counts > 0):
-            new_centers[c] = arr[new_assignments == c].mean(axis=0)
+        new_centers = _cluster_means(arr, new_assignments, centers.copy())
         moved = float(np.max(np.abs(new_centers - centers))) if centers.size else 0.0
 
         stable = np.array_equal(new_assignments, assignments)

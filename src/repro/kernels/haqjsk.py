@@ -37,6 +37,7 @@ import numpy as np
 from repro.alignment.correspondence import correspondence_matrices
 from repro.backend import active_policy
 from repro.alignment.depth_based import DBRepresentationExtractor
+from repro.alignment.kmeans import _cluster_means
 from repro.alignment.prototypes import PrototypeHierarchy, fit_prototype_hierarchy
 from repro.alignment.transform import (
     AlignedGraphStructures,
@@ -369,12 +370,9 @@ class HierarchicalAligner:
         """
         assignments = hierarchy.assign_level1(pooled_k)
         centers_k = hierarchy.centers[0]
-        m1 = centers_k.shape[0]
-        new_column = np.zeros(m1)
-        for cluster in range(m1):
-            members = assignments == cluster
-            if members.any():
-                new_column[cluster] = float(new_values[members].mean())
+        new_column = _cluster_means(
+            new_values, assignments, np.zeros(centers_k.shape[0])
+        )
         return np.hstack(
             [
                 centers_k[:, :insert_at],

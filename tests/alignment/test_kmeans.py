@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError
-from repro.alignment.kmeans import assign_to_centers, kmeans, kmeans_plusplus_init
+from repro.alignment.kmeans import (
+    _pairwise_sq_dists,
+    assign_to_centers,
+    kmeans,
+    kmeans_plusplus_init,
+)
+from repro.utils.rng import as_rng
 
 
 def blobs(seed: int = 0, per: int = 20):
@@ -139,3 +145,145 @@ def test_kmeans_invariants(n_points, n_clusters, seed):
     assert result.inertia >= 0.0
     # Every cluster is non-empty (reseeding guarantees it).
     assert len(set(result.assignments.tolist())) == k
+
+
+def reference_lloyd(points, n_clusters, *, seed, init_centers=None, max_iter=100, tol=1e-7):
+    """Lloyd's loop in its plain form: clipped distance expansion and one
+    boolean mask per cluster. Returns ``(centers, assignments, inertia,
+    n_iterations, reseeds)``; ``kmeans`` must match it bit for bit."""
+
+    def sq_dists(p, c):
+        p_sq = np.sum(p**2, axis=1)[:, None]
+        c_sq = np.sum(c**2, axis=1)[None, :]
+        return np.clip(p_sq + c_sq - 2.0 * (p @ c.T), 0.0, None)
+
+    arr = np.asarray(points, dtype=float)
+    n = arr.shape[0]
+    k = min(n_clusters, n)
+    rng = as_rng(seed)
+    if init_centers is None:
+        centers = kmeans_plusplus_init(arr, k, rng)
+    elif init_centers.shape[0] >= k:
+        centers = np.array(init_centers[:k], dtype=float)
+    else:
+        fill = kmeans_plusplus_init(arr, k - init_centers.shape[0], rng)
+        centers = np.vstack([init_centers, fill])
+    assignments = np.full(n, -1)
+    reseeds = 0
+    for iteration in range(1, max_iter + 1):
+        distances = sq_dists(arr, centers)
+        new_assignments = np.argmin(distances, axis=1)
+        empties = np.flatnonzero(np.bincount(new_assignments, minlength=k) == 0)
+        if empties.size:
+            order = np.argsort(-distances[np.arange(n), new_assignments])
+            for slot, empty in enumerate(empties[:n]):
+                new_assignments[order[slot]] = empty
+                centers[empty] = arr[order[slot]]
+                reseeds += 1
+        new_centers = centers.copy()
+        for c in range(k):
+            members = new_assignments == c
+            if members.any():
+                new_centers[c] = arr[members].mean(axis=0)
+        moved = float(np.max(np.abs(new_centers - centers)))
+        stable = np.array_equal(new_assignments, assignments)
+        centers, assignments = new_centers, new_assignments
+        if stable or moved <= tol:
+            break
+    inertia = float(sq_dists(arr, centers)[np.arange(n), assignments].sum())
+    return centers, assignments, inertia, iteration, reseeds
+
+
+def lloyd_case(n, k, d, *, seed, decimals=None, warm=None):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d))
+    if decimals is not None:
+        points = np.round(points, decimals)
+    init = None if warm is None else warm * rng.normal(size=(k, d))
+    return points, init
+
+
+class TestLloydBitwise:
+    """The grouped Lloyd update reproduces the mask-per-cluster loop exactly."""
+
+    def assert_matches_reference(self, points, k, seed, init=None):
+        result = kmeans(points, k, seed=seed, init_centers=init)
+        centers, assignments, inertia, iterations, reseeds = reference_lloyd(
+            points, k, seed=seed, init_centers=init
+        )
+        assert np.array_equal(result.centers, centers)
+        assert np.array_equal(result.assignments, assignments)
+        assert result.inertia == inertia
+        assert result.n_iterations == iterations
+        return reseeds
+
+    @pytest.mark.parametrize(
+        "n, k, d, decimals, warm",
+        [
+            (300, 8, 1, None, None),  # d = 1
+            (400, 16, 3, None, None),  # d >= 2
+            (300, 12, 2, 1, None),  # duplicate rows
+            (200, 6, 1, 1, None),  # duplicates in one dimension
+            (250, 10, 4, None, 1.0),  # full warm start
+        ],
+    )
+    def test_matches_reference(self, n, k, d, decimals, warm):
+        points, init = lloyd_case(n, k, d, seed=n + k, decimals=decimals, warm=warm)
+        self.assert_matches_reference(points, k, seed=7, init=init)
+
+    def test_partial_warm_start(self):
+        points, init = lloyd_case(150, 9, 2, seed=3, warm=1.0)
+        self.assert_matches_reference(points, 9, seed=11, init=init[:4])
+
+    def test_empty_cluster_reseed(self):
+        # Warm centers far from every point leave clusters empty in the
+        # first iteration, so the reseed step runs.
+        points, _ = lloyd_case(120, 6, 2, seed=5, decimals=1)
+        init = np.vstack([points[:3], np.full((3, 2), 50.0) + np.arange(3)[:, None]])
+        assert self.assert_matches_reference(points, 6, seed=0, init=init) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        k=st.integers(1, 12),
+        d=st.integers(1, 3),
+        decimals=st.sampled_from([None, 1]),
+        warm=st.sampled_from([None, 0.5, 3.0]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_reference_generated(self, n, k, d, decimals, warm, seed):
+        k = min(k, n)
+        points, init = lloyd_case(n, k, d, seed=seed, decimals=decimals, warm=warm)
+        self.assert_matches_reference(points, k, seed=seed, init=init)
+
+    def test_pairwise_sq_dists_matches_clipped_expansion(self):
+        rng = np.random.default_rng(0)
+        points = np.round(rng.normal(size=(500, 5)), 1)
+        centers = np.vstack([points[:10], rng.normal(size=(6, 5))])
+        expected = np.clip(
+            np.sum(points**2, axis=1)[:, None]
+            + np.sum(centers**2, axis=1)[None, :]
+            - 2.0 * (points @ centers.T),
+            0.0,
+            None,
+        )
+        assert np.array_equal(_pairwise_sq_dists(points, centers), expected)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: the empty-cluster reseed can take the only point of "
+        "another cluster, so kmeans may converge with an empty cluster"
+    ),
+)
+def test_converged_clusters_are_non_empty():
+    rng = np.random.default_rng(218)
+    n = rng.integers(2, 12)
+    k = rng.integers(2, n + 1)
+    d = rng.integers(1, 3)
+    points = rng.normal(size=(n, d))
+    warm = 3 * rng.normal(size=(k, d)) if rng.random() < 0.7 else None
+    result = kmeans(points, k, seed=218, init_centers=warm)
+    assert result.converged
+    assert np.all(np.bincount(result.assignments, minlength=k) > 0)

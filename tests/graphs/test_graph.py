@@ -1,7 +1,11 @@
 """Tests for the core Graph type."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import generators as gen
@@ -93,6 +97,16 @@ class TestDerivedQuantities:
         dist = petersen_like.shortest_path_lengths()
         assert np.array_equal(dist, dist.T)
 
+    def test_shortest_paths_ignore_weights(self):
+        # 0 -(5.0)- 1 -(0.25)- 2, plus 3 -(2.0)- 4 and isolated vertex 5.
+        adjacency = np.zeros((6, 6))
+        for u, v, w in ((0, 1, 5.0), (1, 2, 0.25), (3, 4, 2.0)):
+            adjacency[u, v] = adjacency[v, u] = w
+        dist = Graph(adjacency).shortest_path_lengths()
+        assert dist[0].tolist() == [0, 1, 2, -1, -1, -1]
+        assert dist[3].tolist() == [-1, -1, -1, 0, 1, -1]
+        assert dist[5].tolist() == [-1, -1, -1, -1, -1, 0]
+
     def test_diameter(self, path4, petersen_like):
         assert path4.diameter() == 3
         assert petersen_like.diameter() == 2
@@ -114,6 +128,48 @@ class TestDerivedQuantities:
 
     def test_effective_labels_uses_labels(self, labelled_graph):
         assert labelled_graph.effective_labels().tolist() == [0, 1, 1, 2]
+
+
+def reference_hops(adjacency: np.ndarray) -> np.ndarray:
+    """Plain per-source BFS over the edges with non-zero weight."""
+    n = adjacency.shape[0]
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for source in range(n):
+        dist[source, source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in np.flatnonzero(adjacency[u]):
+                if dist[source, v] < 0:
+                    dist[source, v] = dist[source, u] + 1
+                    queue.append(v)
+    return dist
+
+
+@st.composite
+def weighted_adjacency(draw):
+    """Sparse symmetric weighted adjacency; zeros dominate, so isolated
+    vertices and several components are common."""
+    n = draw(st.integers(0, 10))
+    weights = st.sampled_from([0.0, 0.0, 0.0, 1.0, 0.5, 3.25])
+    entries = draw(st.lists(weights, min_size=n * n, max_size=n * n))
+    upper = np.triu(np.asarray(entries).reshape(n, n), k=1)
+    return upper + upper.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjacency=weighted_adjacency())
+@example(adjacency=np.zeros((0, 0)))
+@example(adjacency=np.zeros((1, 1)))
+@example(adjacency=np.zeros((4, 4)))
+def test_shortest_paths_match_reference_bfs(adjacency):
+    graph = Graph(adjacency)
+    dist = graph.shortest_path_lengths()
+    assert dist.dtype == np.int64
+    assert dist.shape == adjacency.shape
+    assert not dist.flags.writeable
+    assert np.array_equal(dist, reference_hops(adjacency))
+    assert graph.shortest_path_lengths() is dist
 
 
 class TestStructureOps:
