@@ -220,6 +220,19 @@ class HierarchicalAligner:
         Frozen: the stored reference system is applied to the graphs
         without refitting.
         """
+        adjacency, density = self._transform(graphs, adjacency=True, density=True)
+        return [AlignedGraphStructures(a, d) for a, d in zip(adjacency, density)]
+
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+
+    def _transform(self, graphs: "list[Graph]", *, adjacency: bool, density: bool):
+        """Per graph, the Eq. 23 / Eq. 25 level matrices of the requested kinds.
+
+        Returns ``(adjacency_levels, density_levels)``; a kind that was not
+        requested is ``None`` and costs nothing (a kernel reads only one).
+        """
         if not graphs:
             raise KernelError("HierarchicalAligner needs at least one graph")
         if self.frozen_ is not None:
@@ -229,11 +242,9 @@ class HierarchicalAligner:
             ]
         else:
             system, representations = self._fit_system(graphs)
-        return self._apply_system(system, representations, graphs)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
+        return self._apply_system(
+            system, representations, graphs, adjacency=adjacency, density=density
+        )
 
     def _quantized(self, matrix: np.ndarray) -> np.ndarray:
         """Round representations below signal scale (see class docstring)."""
@@ -300,16 +311,23 @@ class HierarchicalAligner:
         system: "FrozenAlignmentSystem",
         representations: "list[np.ndarray]",
         graphs: "list[Graph]",
-    ) -> "list[AlignedGraphStructures]":
-        """Align every graph against an (already fitted) prototype system."""
+        *,
+        adjacency: bool,
+        density: bool,
+    ):
+        """Align every graph against an (already fitted) prototype system.
+
+        Returns ``(adjacency_levels, density_levels)`` as :meth:`_transform`.
+        """
         n_layers = system.n_layers
         n_static = system.n_static
-        densities = [
-            graph_density_matrix(g, hamiltonian=self.hamiltonian) for g in graphs
-        ]
-        n_graphs = len(graphs)
-        adjacency_sums = [None] * n_graphs  # per graph: list over levels
-        density_sums = [None] * n_graphs
+        densities = (
+            [graph_density_matrix(g, hamiltonian=self.hamiltonian) for g in graphs]
+            if density
+            else None
+        )
+        adjacency_sums = [[None] * self.n_levels for _ in graphs]
+        density_sums = [[None] * self.n_levels for _ in graphs]
         for k in range(1, n_layers + 1):
             hierarchy = system.hierarchies[k - 1]
             for p, graph in enumerate(graphs):
@@ -320,32 +338,26 @@ class HierarchicalAligner:
                 for h, c_matrix in enumerate(c_levels):
                     # validate=False: adjacency/density/correspondence are
                     # all constructed above; the checks dominate otherwise.
-                    a_hk = aligned_adjacency(
-                        graph.adjacency, c_matrix, validate=False
-                    )
-                    rho_hk = aligned_density(
-                        densities[p],
-                        c_matrix,
-                        renormalize=self.renormalize_density,
-                        validate=False,
-                    )
-                    if adjacency_sums[p] is None:
-                        adjacency_sums[p] = [None] * self.n_levels
-                        density_sums[p] = [None] * self.n_levels
-                    if adjacency_sums[p][h] is None:
-                        adjacency_sums[p][h] = np.zeros_like(a_hk)
-                        density_sums[p][h] = np.zeros_like(rho_hk)
-                    adjacency_sums[p][h] += a_hk
-                    density_sums[p][h] += rho_hk
+                    if adjacency:
+                        a_hk = aligned_adjacency(
+                            graph.adjacency, c_matrix, validate=False
+                        )
+                        _accumulate(adjacency_sums[p], h, a_hk)
+                    if density:
+                        rho_hk = aligned_density(
+                            densities[p],
+                            c_matrix,
+                            renormalize=self.renormalize_density,
+                            validate=False,
+                        )
+                        _accumulate(density_sums[p], h, rho_hk)
 
-        structures = []
-        for p in range(n_graphs):
-            adjacency_by_level = [m / n_layers for m in adjacency_sums[p]]
-            density_by_level = [m / n_layers for m in density_sums[p]]
-            structures.append(
-                AlignedGraphStructures(adjacency_by_level, density_by_level)
-            )
-        return structures
+        def averaged(sums, wanted):
+            if not wanted:
+                return None
+            return [[m / n_layers for m in levels] for levels in sums]
+
+        return averaged(adjacency_sums, adjacency), averaged(density_sums, density)
 
     @staticmethod
     def _slice_k(
@@ -380,6 +392,13 @@ class HierarchicalAligner:
                 centers_k[:, insert_at:],
             ]
         )
+
+
+def _accumulate(sums: list, h: int, matrix: np.ndarray) -> None:
+    """``sums[h] += matrix``, starting from zeros (the Eq. 23/25 sum over k)."""
+    if sums[h] is None:
+        sums[h] = np.zeros_like(matrix)
+    sums[h] += matrix
 
 
 def _entropy_fast(matrix: np.ndarray) -> float:
@@ -473,8 +492,11 @@ class _HAQJSKBase(PairwiseKernel):
         return {}
 
     def prepare(self, graphs: "list[Graph]") -> list:
-        structures = self.aligner.transform(graphs)
-        all_matrices = [self._level_matrices(s) for s in structures]
+        adjacency, density = self.aligner._transform(
+            graphs, adjacency=self._reads_adjacency, density=not self._reads_adjacency
+        )
+        levels = adjacency if self._reads_adjacency else density
+        all_matrices = [self._level_matrices(graph_levels) for graph_levels in levels]
         n_levels = len(all_matrices[0]) if all_matrices else 0
         # One stacked eigvalsh per hierarchy level (every graph's level-h
         # matrix has the same aligned size) instead of a per-matrix loop.
@@ -608,7 +630,13 @@ class _HAQJSKBase(PairwiseKernel):
         (mixed-state eigendecompositions dominate the per-pair cost)."""
         return self._symmetric_from_pairs(states, self._values_for_pairs)
 
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
+    #: Whether the kernel reads the aligned adjacencies (Eq. 23) or the
+    #: aligned densities (Eq. 25); ``prepare`` builds only that structure.
+    _reads_adjacency: bool
+
+    def _level_matrices(self, levels: "list[np.ndarray]") -> "list[np.ndarray]":
+        """The per-level matrices whose QJSD the kernel sums, from one
+        graph's aligned structures (one per hierarchy level)."""
         raise NotImplementedError
 
 
@@ -628,13 +656,12 @@ class HAQJSKKernelA(_HAQJSKBase):
     """
 
     name = "HAQJSK(A)"
+    _reads_adjacency = True
 
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
+    def _level_matrices(self, levels: "list[np.ndarray]") -> "list[np.ndarray]":
         return [
-            ctqw_density_matrix(
-                structure.level_adjacency(h), hamiltonian=self.aligner.hamiltonian
-            )
-            for h in range(1, structure.n_levels + 1)
+            ctqw_density_matrix(adjacency, hamiltonian=self.aligner.hamiltonian)
+            for adjacency in levels
         ]
 
 
@@ -649,8 +676,7 @@ class HAQJSKKernelD(_HAQJSKBase):
     """HAQJSK(D): QJSD between aligned density matrices directly (Eq. 29)."""
 
     name = "HAQJSK(D)"
+    _reads_adjacency = False
 
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
-        return [
-            structure.level_density(h) for h in range(1, structure.n_levels + 1)
-        ]
+    def _level_matrices(self, levels: "list[np.ndarray]") -> "list[np.ndarray]":
+        return levels

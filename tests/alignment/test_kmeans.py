@@ -1,5 +1,7 @@
 """Tests for the from-scratch k-means."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,16 @@ from hypothesis import strategies as st
 from repro.errors import AlignmentError
 from repro.alignment.kmeans import (
     _pairwise_sq_dists,
+    _row_sq_dists,
+    _sq_norms,
     assign_to_centers,
     kmeans,
     kmeans_plusplus_init,
 )
 from repro.utils.rng import as_rng
+
+# ``repro.alignment.kmeans`` the attribute is the function; this is the module.
+kmeans_module = importlib.import_module("repro.alignment.kmeans")
 
 
 def blobs(seed: int = 0, per: int = 20):
@@ -148,9 +155,11 @@ def test_kmeans_invariants(n_points, n_clusters, seed):
 
 
 def reference_lloyd(points, n_clusters, *, seed, init_centers=None, max_iter=100, tol=1e-7):
-    """Lloyd's loop in its plain form: clipped distance expansion and one
-    boolean mask per cluster. Returns ``(centers, assignments, inertia,
-    n_iterations, reseeds)``; ``kmeans`` must match it bit for bit."""
+    """Lloyd's loop in its plain form: the full clipped distance expansion
+    every iteration and one boolean mask per cluster. Returns ``(centers,
+    assignments, inertia, n_iterations, reseeds)``, where ``reseeds`` lists
+    the iteration of every empty-cluster re-seed; ``kmeans`` must match it
+    bit for bit."""
 
     def sq_dists(p, c):
         p_sq = np.sum(p**2, axis=1)[:, None]
@@ -169,7 +178,7 @@ def reference_lloyd(points, n_clusters, *, seed, init_centers=None, max_iter=100
         fill = kmeans_plusplus_init(arr, k - init_centers.shape[0], rng)
         centers = np.vstack([init_centers, fill])
     assignments = np.full(n, -1)
-    reseeds = 0
+    reseeds = []
     for iteration in range(1, max_iter + 1):
         distances = sq_dists(arr, centers)
         new_assignments = np.argmin(distances, axis=1)
@@ -179,7 +188,7 @@ def reference_lloyd(points, n_clusters, *, seed, init_centers=None, max_iter=100
             for slot, empty in enumerate(empties[:n]):
                 new_assignments[order[slot]] = empty
                 centers[empty] = arr[order[slot]]
-                reseeds += 1
+                reseeds.append(iteration)
         new_centers = centers.copy()
         for c in range(k):
             members = new_assignments == c
@@ -240,7 +249,76 @@ class TestLloydBitwise:
         # first iteration, so the reseed step runs.
         points, _ = lloyd_case(120, 6, 2, seed=5, decimals=1)
         init = np.vstack([points[:3], np.full((3, 2), 50.0) + np.arange(3)[:, None]])
-        assert self.assert_matches_reference(points, 6, seed=0, init=init) > 0
+        assert self.assert_matches_reference(points, 6, seed=0, init=init)
+
+    def test_empty_cluster_mid_run(self):
+        # No cluster is empty in iteration 1; in iteration 2 both members
+        # of cluster 1 move to clusters 0 and 3, so the re-seed (and the
+        # full-matrix path) runs between pruned iterations.
+        points = np.asarray(
+            [[1, -2], [0, -1], [-1, 3], [0, 1], [-2, -2], [2, 1], [1, 2], [1, 0],
+             [-3, -1]],
+            dtype=float,
+        )
+        init = np.asarray(
+            [[-0.64, 0.32], [-1.48, -1.31], [-0.03, 0.61], [-2.06, -2.36], [-0.8, 3.1]]
+        )
+        assert self.assert_matches_reference(points, 5, seed=0, init=init) == [2]
+
+    def test_prunes_rows_on_a_large_input(self, monkeypatch):
+        # Every distance row goes through _expansion_sq_dists; the plain
+        # loop computes n rows per iteration, the pruned one far fewer.
+        computed = []
+        expansion = kmeans_module._expansion_sq_dists
+
+        def counting(points, *args):
+            computed.append(points.shape[0])
+            return expansion(points, *args)
+
+        rng = np.random.default_rng(2)
+        n = 2400
+        points = rng.normal(scale=2.0, size=(8, 3))[rng.integers(0, 8, n)]
+        points += rng.normal(size=(n, 3))
+        init = rng.normal(size=(12, 3))  # no k-means++ rows in the count
+        monkeypatch.setattr(kmeans_module, "_expansion_sq_dists", counting)
+        result = kmeans(points, 12, seed=2, init_centers=init)
+        monkeypatch.undo()
+        self.assert_matches_reference(points, 12, seed=2, init=init)
+        assert result.n_iterations >= 20
+        assert any(0 < rows < n for rows in computed)
+        assert sum(computed) < 0.5 * n * result.n_iterations
+
+    @pytest.mark.parametrize(
+        "make_points, k",
+        [
+            # heavy cancellation: ‖x‖² dwarfs the distances it yields
+            (lambda rng: 1e3 + rng.normal(size=(400, 3)), 6),
+            # ... down to rounding noise: the error bound alone keeps it exact
+            (lambda rng: 1e8 + rng.normal(size=(400, 2)), 5),
+            # exact duplicates
+            (lambda rng: np.repeat(rng.normal(size=(40, 2)), 10, axis=0), 8),
+            # 1e-9-quantised rows, as the HAQJSK aligner pools them
+            (lambda rng: np.round(3.0 * rng.random((1500, 4)), 9), 16),
+        ],
+        ids=["offset-1e3", "offset-1e8", "duplicates", "quantised"],
+    )
+    def test_adversarial_inputs(self, make_points, k):
+        points = make_points(np.random.default_rng(k))
+        self.assert_matches_reference(points, k, seed=k)
+
+    def test_equidistant_points_go_to_the_lowest_index(self):
+        # An integer grid around four symmetric warm centers: many points
+        # tie between two or four centers, in float exactly.
+        grid = np.arange(-3.0, 4.0)
+        points = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        init = np.asarray([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        first = _pairwise_sq_dists(points, init)
+        ties = np.sum(first == first.min(axis=1, keepdims=True), axis=1)
+        assert np.count_nonzero(ties > 1) >= 10
+        result = kmeans(points, 4, seed=0, init_centers=init, max_iter=1)
+        lowest = [np.flatnonzero(row == row.min())[0] for row in first]
+        assert np.array_equal(result.assignments, lowest)
+        self.assert_matches_reference(points, 4, seed=0, init=init)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -268,6 +346,28 @@ class TestLloydBitwise:
             None,
         )
         assert np.array_equal(_pairwise_sq_dists(points, centers), expected)
+
+
+class TestRowBlockDistances:
+    """``kmeans`` recomputes subsets of rows and relies on them having the
+    bits of the same rows of the full matrix. A BLAS whose per-row results
+    depend on the row count fails here instead of silently moving Grams."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rows_match_full_matrix(self, d):
+        rng = np.random.default_rng(d)
+        n = 1031
+        # A column slice of a wider matrix, as the aligner pools dimension k.
+        points = np.round(rng.normal(size=(n, d + 3)), 9)[:, :d]
+        p_sq = _sq_norms(points)
+        for k in (2, 3, 5, 8, 17, 32, 64):
+            centers = rng.normal(size=(k, d))
+            c_sq = _sq_norms(centers)
+            full = _pairwise_sq_dists(points, centers)
+            for size in (1, 2, 3, 517, n):
+                rows = np.sort(rng.choice(n, size, replace=False))
+                block = _row_sq_dists(points, p_sq, centers, c_sq, rows)
+                assert np.array_equal(block, full[rows]), (k, size)
 
 
 @pytest.mark.xfail(
